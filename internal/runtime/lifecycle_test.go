@@ -21,8 +21,8 @@ import (
 // the lifecycle package's harness convention.
 func failAt(t, every int) bool { return every > 0 && t%every == every-1 }
 
-// tickClock is a deterministic domain clock: runCycle is its only caller,
-// so cycle i observes now == i.
+// tickClock is a deterministic domain clock: the evaluate loop reads it
+// once per cycle, so cycle i observes now == i.
 func tickClock() func() float64 {
 	var n atomic.Int64
 	return func() float64 { return float64(n.Add(1)) }
