@@ -5,11 +5,8 @@ import (
 	"errors"
 	"io"
 	"math"
-	"net"
 	"net/http"
-	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/predict"
@@ -76,34 +73,7 @@ type TenantView struct {
 	// Quality is the tenant's rolling combined-layer contingency table
 	// (from its own scope, or the shared overflow scope when folded);
 	// omitted when the fleet runs without a ledger.
-	Quality *tableJSON `json:"quality,omitempty"`
-}
-
-// tableJSON mirrors the runtime server's contingency rendering: metric
-// pointers are nil while their denominator is empty (JSON cannot carry NaN).
-type tableJSON struct {
-	TP        int      `json:"tp"`
-	FP        int      `json:"fp"`
-	TN        int      `json:"tn"`
-	FN        int      `json:"fn"`
-	Precision *float64 `json:"precision,omitempty"`
-	Recall    *float64 `json:"recall,omitempty"`
-	FPR       *float64 `json:"fpr,omitempty"`
-	F1        *float64 `json:"f1,omitempty"`
-}
-
-func toTableJSON(c predict.ContingencyTable) tableJSON {
-	finite := func(v float64) *float64 {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil
-		}
-		return &v
-	}
-	return tableJSON{
-		TP: c.TP, FP: c.FP, TN: c.TN, FN: c.FN,
-		Precision: finite(c.Precision()), Recall: finite(c.Recall()),
-		FPR: finite(c.FPR()), F1: finite(c.FMeasure()),
-	}
+	Quality *runtime.TableJSON `json:"quality,omitempty"`
 }
 
 // RollupView is the fleet-wide aggregate in the /fleet response.
@@ -233,7 +203,7 @@ func (f *Fleet) view(tn *tenant, now float64) TenantView {
 		v.Versions[i] = l.Version()
 	}
 	if tn.led != nil {
-		t := toTableJSON(rollingCombined(tn.led))
+		t := runtime.NewTableJSON(rollingCombined(tn.led))
 		v.Quality = &t
 	}
 	if tn.rec != nil {
@@ -284,27 +254,18 @@ func (f *Fleet) serveFleet(w http.ResponseWriter, req *http.Request) {
 	_ = json.NewEncoder(w).Encode(out)
 }
 
-// health is the /healthz body (same shape as the single runtime's).
-type health struct {
-	Status        string  `json:"status"`
-	UptimeSeconds float64 `json:"uptimeSeconds"`
-	Tenants       int     `json:"tenants"`
-	Shards        int     `json:"shards"`
-	QueueDepth    int     `json:"queueDepth"`
-	Cycles        int64   `json:"cycles"`
-	// LastCycleAgoSeconds is -1 before the first cycle completes.
-	LastCycleAgoSeconds float64 `json:"lastCycleAgoSeconds"`
-}
-
-// status derives the fleet pipeline state for readiness/liveness bodies.
-func (f *Fleet) status() string {
-	switch {
-	case f.stopped.Load():
-		return "stopped"
-	case !f.Running():
-		return "draining"
-	}
-	return "ok"
+// health snapshots readiness state; QueueCapacity sums the tenants'
+// sub-queue bounds.
+func (f *Fleet) health() runtime.Health {
+	mem := f.mem.Load()
+	h := runtime.NewHealth(f.Running(), f.stopped.Load(), f.Uptime(), f.lastCycle.Load())
+	h.Tenants = len(mem.tenants)
+	h.Shards = len(mem.shards)
+	h.QueueDepth = f.QueueDepth()
+	h.QueueCapacity = len(mem.tenants) * f.cfg.QueueCapacity
+	h.Evaluations = f.metrics.Evaluations.Value()
+	h.Cycles = f.cycles.Load()
+	return h
 }
 
 // serveTenants admits a tenant into the running fleet: POST /fleet/tenants
@@ -385,77 +346,26 @@ func (f *Fleet) serveResize(w http.ResponseWriter, req *http.Request) {
 	})
 }
 
-// Handler serves the fleet observability and admin plane:
+// Handler serves the fleet observability and admin plane: the shared
+// routes of runtime.HandleShared (/metrics, /healthz, /readyz, /livez and,
+// with Config.Tracer, /tracez), plus
 //
 //	GET    /fleet              — rollup + per-tenant health/quality/versions
 //	                             (?tenant=ID for one row, ?status=S filters)
 //	POST   /fleet/tenants      — admit a tenant (TenantSpec JSON body)
 //	DELETE /fleet/tenants/{id} — retire a tenant (backlog shed, scopes freed)
 //	POST   /fleet/resize       — change the shard count ({"shards": N})
-//	GET    /metrics            — Prometheus text exposition
-//	GET    /healthz            — JSON readiness (503 once draining/stopped);
-//	                             /readyz is an alias
-//	GET    /livez              — JSON liveness (200 for the process's life)
-//	GET    /tracez             — slowest end-to-end spans (with Config.Tracer)
 //	GET    /incidents          — flight-recorder bundles across tenants
 func (f *Fleet) Handler() http.Handler {
 	mux := http.NewServeMux()
+	runtime.HandleShared(mux, f.metrics, f.health, f.cfg.Tracer)
 	mux.HandleFunc("/fleet", f.serveFleet)
 	mux.HandleFunc("/fleet/tenants", f.serveTenants)
 	mux.HandleFunc("/fleet/tenants/", f.serveTenant)
 	mux.HandleFunc("/fleet/resize", f.serveResize)
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = f.metrics.WritePrometheus(w)
-	})
-	ready := func(w http.ResponseWriter, _ *http.Request) {
-		mem := f.mem.Load()
-		h := health{
-			Status:              f.status(),
-			UptimeSeconds:       f.Uptime().Seconds(),
-			Tenants:             len(mem.tenants),
-			Shards:              len(mem.shards),
-			QueueDepth:          f.QueueDepth(),
-			Cycles:              f.cycles.Load(),
-			LastCycleAgoSeconds: -1,
-		}
-		if last := f.lastCycle.Load(); last != 0 {
-			h.LastCycleAgoSeconds = time.Since(time.Unix(0, last)).Seconds()
-		}
-		w.Header().Set("Content-Type", "application/json")
-		if h.Status != "ok" {
-			w.WriteHeader(http.StatusServiceUnavailable)
-		}
-		_ = json.NewEncoder(w).Encode(h)
-	}
-	mux.HandleFunc("/healthz", ready)
-	mux.HandleFunc("/readyz", ready)
-	mux.HandleFunc("/livez", func(w http.ResponseWriter, _ *http.Request) {
-		runtime.ServeLiveness(w, f.status())
-	})
 	if f.cfg.Recorder != nil {
 		mux.HandleFunc("/incidents", func(w http.ResponseWriter, req *http.Request) {
 			runtime.ServeIncidents(w, req, f.cfg.Recorder.Bundles, f.cfg.Recorder.Bundle)
-		})
-	}
-	if f.cfg.Tracer != nil {
-		mux.HandleFunc("/tracez", func(w http.ResponseWriter, req *http.Request) {
-			n := 20
-			if v, err := strconv.Atoi(req.URL.Query().Get("n")); err == nil && v > 0 {
-				n = v
-			}
-			traces := f.cfg.Tracer.Slowest(n)
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			_ = obs.WriteText(w, traces, func(k uint8) string {
-				switch runtime.EventKind(k) {
-				case runtime.KindError:
-					return "error"
-				case runtime.KindSample:
-					return "sample"
-				default:
-					return strconv.Itoa(int(k))
-				}
-			})
 		})
 	}
 	return mux
@@ -464,11 +374,5 @@ func (f *Fleet) Handler() http.Handler {
 // Serve starts the fleet observability server on addr (":0" picks a free
 // port); shut it down with srv.Shutdown or srv.Close.
 func (f *Fleet) Serve(addr string) (*http.Server, string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, "", err
-	}
-	srv := &http.Server{Handler: f.Handler()}
-	go func() { _ = srv.Serve(ln) }()
-	return srv, ln.Addr().String(), nil
+	return runtime.StartServer(addr, f.Handler())
 }

@@ -15,7 +15,9 @@ import (
 	"repro/internal/predict"
 )
 
-// Health is the /healthz and /readyz response body.
+// Health is the /healthz and /readyz response body of both HTTP planes:
+// the single-tenant runtime reports itself as one tenant, the fleet its
+// membership.
 type Health struct {
 	// Status is "ok" while serving, "draining" once a graceful Stop has
 	// begun (queues flushing through Apply), and "stopped" after the
@@ -23,59 +25,49 @@ type Health struct {
 	// liveness (/livez) stays 200 for the life of the process.
 	Status        string  `json:"status"`
 	UptimeSeconds float64 `json:"uptimeSeconds"`
+	Tenants       int     `json:"tenants"`
 	Shards        int     `json:"shards"`
-	QueueDepth    int     `json:"queueDepth"`    // summed across shards
-	QueueCapacity int     `json:"queueCapacity"` // summed across shards
+	QueueDepth    int     `json:"queueDepth"`    // summed across queues
+	QueueCapacity int     `json:"queueCapacity"` // summed across queues
 	Evaluations   int64   `json:"evaluations"`
+	Cycles        int64   `json:"cycles"`
 	// LastCycleAgoSeconds is the age of the newest act decision; -1
 	// before the first cycle completes.
 	LastCycleAgoSeconds float64 `json:"lastCycleAgoSeconds"`
 }
 
-// health snapshots readiness state.
-func (r *Runtime) health() Health {
-	h := Health{
-		Status:              "ok",
-		UptimeSeconds:       r.Uptime().Seconds(),
-		Shards:              r.Shards(),
-		QueueDepth:          r.QueueDepth(),
-		QueueCapacity:       r.queueCapacity(),
-		Evaluations:         r.metrics.Evaluations.Value(),
-		LastCycleAgoSeconds: -1,
-	}
+// NewHealth fills the readiness fields both planes derive the same way:
+// the status from the pipeline's running and stopped flags, the uptime,
+// and the age of the newest cycle (lastCycle in unix nanos, 0 before the
+// first one). The caller fills the sizing fields.
+func NewHealth(running, stopped bool, uptime time.Duration, lastCycle int64) Health {
+	h := Health{Status: "ok", UptimeSeconds: uptime.Seconds(), LastCycleAgoSeconds: -1}
 	switch {
-	case r.stopped.Load():
+	case stopped:
 		h.Status = "stopped"
-	case !r.Running():
+	case !running:
 		h.Status = "draining"
 	}
-	if last := r.LastCycle(); !last.IsZero() {
-		h.LastCycleAgoSeconds = time.Since(last).Seconds()
+	if lastCycle != 0 {
+		h.LastCycleAgoSeconds = time.Since(time.Unix(0, lastCycle)).Seconds()
 	}
 	return h
 }
 
-// ServeHealth renders a readiness body: 200 while status is "ok", 503
-// during drain ("draining") and after shutdown ("stopped"). Shared by
-// /healthz and /readyz on both the single-tenant and fleet planes.
-func ServeHealth(w http.ResponseWriter, h Health) {
-	w.Header().Set("Content-Type", "application/json")
-	if h.Status != "ok" {
-		w.WriteHeader(http.StatusServiceUnavailable)
-	}
-	_ = json.NewEncoder(w).Encode(h)
+// health snapshots readiness state.
+func (r *Runtime) health() Health {
+	h := NewHealth(r.Running(), r.stopped.Load(), r.Uptime(), r.lastCycle.Load())
+	h.Tenants = 1
+	h.Shards = r.Shards()
+	h.QueueDepth = r.QueueDepth()
+	h.QueueCapacity = r.queueCapacity()
+	h.Evaluations = r.metrics.Evaluations.Value()
+	h.Cycles = r.Cycles()
+	return h
 }
 
-// ServeLiveness answers liveness probes: the process is serving HTTP, so
-// it is alive regardless of drain state — restarting a draining pod
-// would turn every graceful shutdown into a kill.
-func ServeLiveness(w http.ResponseWriter, status string) {
-	w.Header().Set("Content-Type", "application/json")
-	fmt.Fprintf(w, "{\"status\":\"live\",\"pipeline\":%q}\n", status)
-}
-
-// kindLabel names an event kind byte for trace rendering.
-func kindLabel(k uint8) string {
+// KindLabel names an event kind byte for trace rendering.
+func KindLabel(k uint8) string {
 	switch EventKind(k) {
 	case KindError:
 		return "error"
@@ -114,19 +106,19 @@ func toTraceJSON(v obs.TraceView) traceJSON {
 		stages[obs.StageNames[i]] = int64(d)
 	}
 	return traceJSON{
-		ID: v.ID, Kind: kindLabel(v.Kind), Key: v.Key, Shard: v.Shard,
+		ID: v.ID, Kind: KindLabel(v.Kind), Key: v.Key, Shard: v.Shard,
 		State: state, TotalNs: int64(v.Total), Stages: stages,
 	}
 }
 
-// serveTracez renders the slowest recent end-to-end traces: a human text
+// serveTracez renders tr's slowest recent end-to-end traces: a human text
 // table by default, JSON with ?format=json, count via ?n= (default 20).
-func (r *Runtime) serveTracez(w http.ResponseWriter, req *http.Request) {
+func serveTracez(w http.ResponseWriter, req *http.Request, tr *obs.Tracer) {
 	n := 20
 	if v, err := strconv.Atoi(req.URL.Query().Get("n")); err == nil && v > 0 {
 		n = v
 	}
-	traces := r.cfg.Tracer.Slowest(n)
+	traces := tr.Slowest(n)
 	if req.URL.Query().Get("format") == "json" {
 		out := make([]traceJSON, len(traces))
 		for i, v := range traces {
@@ -137,14 +129,13 @@ func (r *Runtime) serveTracez(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintf(w, "tracez: %d slowest of the %d most recent traces\n\n",
-		len(traces), r.cfg.Tracer.Capacity())
-	_ = obs.WriteText(w, traces, kindLabel)
+	fmt.Fprintf(w, "tracez: %d slowest of the %d most recent traces\n\n", len(traces), tr.Capacity())
+	_ = obs.WriteText(w, traces, KindLabel)
 }
 
-// tableJSON renders a contingency table with its derived metrics; metric
+// TableJSON renders a contingency table with its derived metrics; metric
 // pointers are nil while their denominator is empty (JSON cannot carry NaN).
-type tableJSON struct {
+type TableJSON struct {
 	TP        int      `json:"tp"`
 	FP        int      `json:"fp"`
 	TN        int      `json:"tn"`
@@ -155,26 +146,26 @@ type tableJSON struct {
 	F1        *float64 `json:"f1,omitempty"`
 }
 
-func toTableJSON(c predict.ContingencyTable) tableJSON {
+// NewTableJSON renders c for JSON.
+func NewTableJSON(c predict.ContingencyTable) TableJSON {
 	finite := func(v float64) *float64 {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return nil
 		}
 		return &v
 	}
-	f1 := c.FMeasure()
-	return tableJSON{
+	return TableJSON{
 		TP: c.TP, FP: c.FP, TN: c.TN, FN: c.FN,
 		Precision: finite(c.Precision()), Recall: finite(c.Recall()),
-		FPR: finite(c.FPR()), F1: finite(f1),
+		FPR: finite(c.FPR()), F1: finite(c.FMeasure()),
 	}
 }
 
 // ledgerLayerJSON is one layer in the /ledger response.
 type ledgerLayerJSON struct {
 	Layer      string    `json:"layer"`
-	Rolling    tableJSON `json:"rolling"`
-	Cumulative tableJSON `json:"cumulative"`
+	Rolling    TableJSON `json:"rolling"`
+	Cumulative TableJSON `json:"cumulative"`
 	Pending    int       `json:"pending"`
 }
 
@@ -208,8 +199,8 @@ func (r *Runtime) serveLedger(w http.ResponseWriter, _ *http.Request) {
 	for i, lq := range snap.Layers {
 		out.Layers[i] = ledgerLayerJSON{
 			Layer:      lq.Layer,
-			Rolling:    toTableJSON(lq.Rolling),
-			Cumulative: toTableJSON(lq.Cumulative),
+			Rolling:    NewTableJSON(lq.Rolling),
+			Cumulative: NewTableJSON(lq.Cumulative),
 			Pending:    lq.Pending,
 		}
 	}
@@ -271,14 +262,43 @@ func ServeIncidents(w http.ResponseWriter, req *http.Request,
 	_ = json.NewEncoder(w).Encode(out)
 }
 
-// Handler serves the observability endpoints:
+// HandleShared mounts the routes both HTTP planes serve:
 //
-//	GET /metrics   — Prometheus text exposition of the pipeline metrics
-//	GET /healthz   — JSON readiness (200 while running, 503 once draining
-//	                 or stopped); /readyz is an alias
-//	GET /livez     — JSON liveness (200 for the life of the process)
-//	GET /tracez    — slowest recent end-to-end traces (with Config.Tracer;
-//	                 text table, or JSON with ?format=json)
+//	GET /metrics — Prometheus text exposition of m
+//	GET /healthz — JSON readiness (200 while running, 503 once draining
+//	               or stopped); /readyz is an alias
+//	GET /livez   — JSON liveness (200 for the life of the process)
+//	GET /tracez  — slowest recent end-to-end traces (with a tracer; text
+//	               table, or JSON with ?format=json)
+func HandleShared(mux *http.ServeMux, m *Metrics, health func() Health, tr *obs.Tracer) {
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		_ = m.WritePrometheus(w)
+	})
+	ready := func(w http.ResponseWriter, _ *http.Request) {
+		h := health()
+		w.Header().Set("Content-Type", "application/json")
+		if h.Status != "ok" {
+			w.WriteHeader(http.StatusServiceUnavailable)
+		}
+		_ = json.NewEncoder(w).Encode(h)
+	}
+	mux.HandleFunc("/healthz", ready)
+	mux.HandleFunc("/readyz", ready)
+	// Liveness ignores drain state: restarting a draining process would
+	// turn every graceful shutdown into a kill.
+	mux.HandleFunc("/livez", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		fmt.Fprintf(w, "{\"status\":\"live\",\"pipeline\":%q}\n", health().Status)
+	})
+	if tr != nil {
+		mux.HandleFunc("/tracez", func(w http.ResponseWriter, req *http.Request) { serveTracez(w, req, tr) })
+	}
+}
+
+// Handler serves the observability endpoints: the shared routes of
+// HandleShared, plus
+//
 //	GET /ledger    — prediction-quality ledger snapshot (with Config.Ledger)
 //	GET /layers    — per-layer predictor lifecycle status: state, serving
 //	                 version, drift/retrain/swap counters (with
@@ -290,19 +310,7 @@ func ServeIncidents(w http.ResponseWriter, req *http.Request,
 // mounted under /debug/pprof/.
 func (r *Runtime) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = r.metrics.WritePrometheus(w)
-	})
-	ready := func(w http.ResponseWriter, _ *http.Request) { ServeHealth(w, r.health()) }
-	mux.HandleFunc("/healthz", ready)
-	mux.HandleFunc("/readyz", ready)
-	mux.HandleFunc("/livez", func(w http.ResponseWriter, _ *http.Request) {
-		ServeLiveness(w, r.health().Status)
-	})
-	if r.cfg.Tracer != nil {
-		mux.HandleFunc("/tracez", r.serveTracez)
-	}
+	HandleShared(mux, r.metrics, r.health, r.cfg.Tracer)
 	if r.cfg.Ledger != nil {
 		mux.HandleFunc("/ledger", r.serveLedger)
 	}
@@ -331,11 +339,25 @@ func (r *Runtime) Handler() http.Handler {
 // a free port). It returns the server and the bound address; shut it down
 // with srv.Shutdown or srv.Close.
 func (r *Runtime) Serve(addr string) (*http.Server, string, error) {
+	return StartServer(addr, r.Handler())
+}
+
+// HTTP limits of the observability servers. A client gets readHeaderTimeout
+// to send its request headers and idleTimeout between keep-alive requests.
+// There is no write timeout: /debug/pprof/profile streams for 30 s.
+var readHeaderTimeout = 10 * time.Second
+
+const idleTimeout = 2 * time.Minute
+
+// StartServer serves h on addr (":0" picks a free port) under the HTTP
+// limits above. It returns the server and the bound address; shut it down
+// with srv.Shutdown or srv.Close.
+func StartServer(addr string, h http.Handler) (*http.Server, string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, "", err
 	}
-	srv := &http.Server{Handler: r.Handler()}
+	srv := &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	go func() { _ = srv.Serve(ln) }()
 	return srv, ln.Addr().String(), nil
 }
