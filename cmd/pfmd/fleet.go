@@ -11,10 +11,7 @@ import (
 	"log/slog"
 	"math"
 	"os"
-	"os/signal"
 	"strings"
-	"sync/atomic"
-	"syscall"
 	"time"
 
 	"repro/internal/core"
@@ -23,31 +20,6 @@ import (
 	"repro/internal/runtime"
 	"repro/internal/scp"
 )
-
-// fleetOptions carries the -fleet flag set.
-type fleetOptions struct {
-	addr         string
-	tenants      int
-	skew         float64
-	seed         int64
-	days         float64
-	compress     float64
-	queueCap     int
-	policy       runtime.OverflowPolicy
-	workers      int
-	shards       int
-	evalEvery    time.Duration
-	scopes       int
-	traceCap     int
-	traceSample  int
-	ledgerWindow float64
-	ledgerSlack  float64
-	traceFile    string
-	listen       string
-	actBudget    int
-	rateLimit    float64
-	logger       *slog.Logger
-}
 
 // fleetState is one tenant's monitoring mirror: EWMA utilization over the
 // load samples plus a decaying error-pressure signal — small enough to
@@ -96,7 +68,7 @@ func fleetLayers() []fleet.LayerTemplate {
 	}
 }
 
-func runFleet(o fleetOptions) error {
+func runFleet(ctx context.Context, o *options) error {
 	if o.tenants < 1 {
 		return fmt.Errorf("-tenants must be >= 1")
 	}
@@ -119,14 +91,12 @@ func runFleet(o fleetOptions) error {
 		specs[i] = fleet.TenantSpec{ID: id, Criticality: weights[i], RateLimit: o.rateLimit}
 	}
 
-	var simNow atomic.Uint64 // Float64bits of the replay's domain time
-	simNow.Store(math.Float64bits(0))
-
+	var clock simClock
 	scpCfg := scp.DefaultConfig()
 	const leadTime = 300.0
 	led, err := obs.NewScopedLedger(obs.LedgerConfig{
 		LeadTime: leadTime, Slack: o.ledgerSlack, Window: o.ledgerWindow,
-	}, o.scopes, "load", "errors")
+	}, o.fleetScopes, "load", "errors")
 	if err != nil {
 		return err
 	}
@@ -157,7 +127,7 @@ func runFleet(o fleetOptions) error {
 		Workers:       o.workers,
 		ActBudget:     o.actBudget,
 		EvalInterval:  o.evalEvery,
-		Clock:         func() float64 { return math.Float64frombits(simNow.Load()) },
+		Clock:         clock.Now,
 		Tracer:        tracer,
 		Ledger:        led,
 		JournalLayers: true,
@@ -166,8 +136,6 @@ func runFleet(o fleetOptions) error {
 		return err
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	if err := f.Start(ctx); err != nil {
 		return err
 	}
@@ -176,7 +144,7 @@ func runFleet(o fleetOptions) error {
 		return err
 	}
 	defer srv.Close()
-	source := sourceName(o.traceFile)
+	source := sourceName(o.fleetTrace)
 	if o.listen != "" {
 		source = "listen " + o.listen
 	}
@@ -187,11 +155,11 @@ func runFleet(o fleetOptions) error {
 	horizon := o.days * 86400
 	switch {
 	case o.listen != "":
-		err = serveFleetListen(ctx, f, o.listen, &simNow, logger)
-	case o.traceFile != "":
-		err = replayFleetFile(ctx, f, o.traceFile, o.compress, &simNow)
+		err = serveFleetListen(ctx, f, o.listen, &clock, logger)
+	case o.fleetTrace != "":
+		err = replayFleetFile(ctx, f, o.fleetTrace, o.compress, &clock)
 	default:
-		err = replayFleetSim(ctx, f, multi, horizon, o.compress, &simNow)
+		err = replayFleetSim(ctx, f, multi, horizon, o.compress, &clock)
 	}
 	if err != nil && ctx.Err() == nil {
 		_ = f.Stop(context.Background())
@@ -203,7 +171,7 @@ func runFleet(o fleetOptions) error {
 	if err := f.Stop(stopCtx); err != nil {
 		logger.Warn("fleet stop", "err", err)
 	}
-	logFleetSummary(logger, f, led, math.Float64frombits(simNow.Load()))
+	logFleetSummary(logger, f, led, clock.Now())
 	return nil
 }
 
@@ -218,7 +186,7 @@ func sourceName(traceFile string) string {
 // ends: senders (loggen -send, or any syslog-style shipper speaking the
 // text protocol) pace themselves against the fleet's backpressure, and the
 // domain clock follows the newest record time seen.
-func serveFleetListen(ctx context.Context, f *fleet.Fleet, addr string, simNow *atomic.Uint64, logger *slog.Logger) error {
+func serveFleetListen(ctx context.Context, f *fleet.Fleet, addr string, clock *simClock, logger *slog.Logger) error {
 	ls, err := fleet.Listen(addr)
 	if err != nil {
 		return err
@@ -229,7 +197,7 @@ func serveFleetListen(ctx context.Context, f *fleet.Fleet, addr string, simNow *
 		_ = ls.Close()
 	}()
 	defer ls.Close()
-	n, err := fleet.Pump(ctx, f, &clockSource{src: ls, simNow: simNow})
+	n, err := fleet.Pump(ctx, f, &clockSource{src: ls, clock: clock})
 	logger.Info("fleet ingest done",
 		"records", n, "conns", ls.Conns(), "decodeErrors", ls.DecodeErrors())
 	return err
@@ -238,30 +206,21 @@ func serveFleetListen(ctx context.Context, f *fleet.Fleet, addr string, simNow *
 // clockSource advances the fleet's domain clock to the newest record time
 // without pacing (the network sender sets the pace).
 type clockSource struct {
-	src    fleet.Source
-	simNow *atomic.Uint64
+	src   fleet.Source
+	clock *simClock
 }
 
 func (c *clockSource) Next() (fleet.Record, error) {
 	rec, err := c.src.Next()
-	if err != nil {
-		return rec, err
+	if err == nil {
+		c.clock.Advance(rec.Event.Time)
 	}
-	for {
-		old := c.simNow.Load()
-		if math.Float64frombits(old) >= rec.Event.Time {
-			break
-		}
-		if c.simNow.CompareAndSwap(old, math.Float64bits(rec.Event.Time)) {
-			break
-		}
-	}
-	return rec, nil
+	return rec, err
 }
 
 // replayFleetSim advances the multi-tenant simulator in wall-paced slices,
 // pumping each slice's merged trace into the fleet.
-func replayFleetSim(ctx context.Context, f *fleet.Fleet, m *scp.MultiSystem, horizon, compress float64, simNow *atomic.Uint64) error {
+func replayFleetSim(ctx context.Context, f *fleet.Fleet, m *scp.MultiSystem, horizon, compress float64, clock *simClock) error {
 	const wallSlice = 100 * time.Millisecond
 	simSlice := compress * wallSlice.Seconds()
 	ticker := time.NewTicker(wallSlice)
@@ -271,7 +230,7 @@ func replayFleetSim(ctx context.Context, f *fleet.Fleet, m *scp.MultiSystem, hor
 		if err := m.Run(step); err != nil {
 			return err
 		}
-		simNow.Store(math.Float64bits(elapsed + step))
+		clock.Set(elapsed + step)
 		recs := fleet.SCPRecords(m.Drain())
 		if _, err := fleet.Pump(ctx, f, fleet.NewSliceSource(recs)); err != nil {
 			return err
@@ -287,7 +246,7 @@ func replayFleetSim(ctx context.Context, f *fleet.Fleet, m *scp.MultiSystem, hor
 
 // replayFleetFile streams a recorded trace (text or wire format by
 // extension), pacing domain time against the wall clock via compress.
-func replayFleetFile(ctx context.Context, f *fleet.Fleet, path string, compress float64, simNow *atomic.Uint64) error {
+func replayFleetFile(ctx context.Context, f *fleet.Fleet, path string, compress float64, clock *simClock) error {
 	var src fleet.Source
 	if strings.HasSuffix(path, ".wire") {
 		fh, err := os.Open(path)
@@ -305,7 +264,7 @@ func replayFleetFile(ctx context.Context, f *fleet.Fleet, path string, compress 
 		src = ts
 	}
 	start := time.Now()
-	paced := pacedSource{src: src, compress: compress, start: start, ctx: ctx, simNow: simNow}
+	paced := pacedSource{src: src, compress: compress, start: start, ctx: ctx, clock: clock}
 	_, err := fleet.Pump(ctx, f, &paced)
 	return err
 }
@@ -317,7 +276,7 @@ type pacedSource struct {
 	compress float64
 	start    time.Time
 	ctx      context.Context
-	simNow   *atomic.Uint64
+	clock    *simClock
 }
 
 func (p *pacedSource) Next() (fleet.Record, error) {
@@ -333,15 +292,7 @@ func (p *pacedSource) Next() (fleet.Record, error) {
 		case <-time.After(wait):
 		}
 	}
-	for {
-		old := p.simNow.Load()
-		if math.Float64frombits(old) >= rec.Event.Time {
-			break
-		}
-		if p.simNow.CompareAndSwap(old, math.Float64bits(rec.Event.Time)) {
-			break
-		}
-	}
+	p.clock.Advance(rec.Event.Time)
 	return rec, nil
 }
 

@@ -37,6 +37,9 @@
 // Progress and decisions are structured logs on stderr (-log-format=json
 // for machine ingestion); result tables stay on stdout.
 //
+// pfmd has three modes: the live simulation (the default), -replay-columnar
+// and -fleet. A flag that the chosen mode would ignore is an error.
+//
 // Usage:
 //
 //	pfmd [-addr :9600] [-seed 11] [-days 1] [-compress 3600]
@@ -50,133 +53,206 @@
 //	     [-drift-shadow-min 20] [-drift-cooldown 200]
 //	     [-batch 0] [-replay-columnar trace.cols] [-replay-eval 900]
 //	     [-incident-dir DIR] [-incident-cap 32] [-incident-warn 0.5]
+//	pfmd -fleet [-tenants 100] [-skew 1] [-fleet-scopes 64]
+//	     [-fleet-trace FILE | -listen ADDR] [-act-budget 0] [-rate-limit 0]
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"math"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
-	"sync/atomic"
+	"slices"
 	"syscall"
 	"time"
 
-	"repro/internal/act"
-	"repro/internal/core"
-	"repro/internal/eventlog"
-	"repro/internal/lifecycle"
-	"repro/internal/meta"
 	"repro/internal/obs"
-	"repro/internal/pfmmodel"
 	"repro/internal/runtime"
 	"repro/internal/scp"
-	ts "repro/internal/timeseries"
 )
 
 func main() {
-	if err := run(); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "pfmd:", err)
 		os.Exit(1)
 	}
 }
 
-// mirror is the runtime's predictor-visible state: the ingest stage
-// replays the simulator's error log and SAR series into it, and the
-// layers read it. Locking is owned by the runtime: Apply and evaluation
-// never overlap, and sharded ingest (-shards > 1) is safe here because the
-// default shard key serializes all error-log appends on one shard while
-// each SAR series is only touched by its own variable's shard (the sar map
-// itself is fully populated before Start and read-only afterwards).
-type mirror struct {
-	log *eventlog.Log
-	sar map[string]*ts.Series
+// options holds every pfmd flag, plus the parsed overflow policy, the
+// logger and the output for result tables.
+type options struct {
+	addr                string
+	seed                int64
+	days, compress      float64
+	queueCap            int
+	overflow            string
+	workers             int
+	evalEvery           time.Duration
+	shards              int
+	pprof               bool
+	logFormat, logLevel string
+	traceCap, traceDump int
+	traceSample         int
+	ledgerWindow        float64
+	ledgerSlack         float64
+	metaWeights         string
+	hotswap             bool
+	driftWarmup         int
+	driftThreshold      float64
+	driftShadowMin      int
+	driftCooldown       int
+	fleet               bool
+	tenants             int
+	skew                float64
+	fleetScopes         int
+	fleetTrace, listen  string
+	actBudget           int
+	rateLimit           float64
+	batch               int
+	replayColumnar      string
+	replayEval          float64
+	incidents           incidentOptions
+	policy              runtime.OverflowPolicy
+	logger              *slog.Logger
+	stdout              io.Writer
 }
 
-func newMirror() *mirror {
-	m := &mirror{log: eventlog.NewLog(), sar: make(map[string]*ts.Series)}
-	for _, name := range scp.SARVariables {
-		m.sar[name] = ts.New(name)
-	}
-	return m
+// The three modes, named as in flag errors.
+const (
+	modeLive     = "live"
+	modeColumnar = "-replay-columnar"
+	modeFleet    = "-fleet"
+)
+
+// modeFlags lists the modes that read each mode-specific flag; every
+// other flag is read by all three.
+var modeFlags = map[string][]string{
+	"seed":             {modeLive, modeFleet},
+	"days":             {modeLive, modeFleet},
+	"compress":         {modeLive, modeFleet},
+	"eval":             {modeLive, modeFleet},
+	"pprof":            {modeLive, modeColumnar},
+	"trace-dump":       {modeLive, modeColumnar},
+	"batch":            {modeLive, modeColumnar},
+	"meta-weights":     {modeLive, modeColumnar},
+	"incident-dir":     {modeLive, modeColumnar},
+	"incident-cap":     {modeLive, modeColumnar},
+	"incident-warn":    {modeLive, modeColumnar},
+	"hotswap":          {modeLive},
+	"drift-warmup":     {modeLive},
+	"drift-threshold":  {modeLive},
+	"drift-shadow-min": {modeLive},
+	"drift-cooldown":   {modeLive},
+	"replay-eval":      {modeColumnar},
+	"tenants":          {modeFleet},
+	"skew":             {modeFleet},
+	"fleet-scopes":     {modeFleet},
+	"fleet-trace":      {modeFleet},
+	"listen":           {modeFleet},
+	"act-budget":       {modeFleet},
+	"rate-limit":       {modeFleet},
 }
 
-// apply integrates one streamed event.
-func (m *mirror) apply(ev runtime.Event) error {
-	switch ev.Kind {
-	case runtime.KindError:
-		return m.log.Append(ev.Error)
-	case runtime.KindSample:
-		s, ok := m.sar[ev.Variable]
-		if !ok {
-			return fmt.Errorf("unknown variable %q", ev.Variable)
-		}
-		return s.Append(ev.Time, ev.Value)
-	default:
-		return fmt.Errorf("unknown event kind %d", ev.Kind)
+// run parses args, picks the mode and runs it until its input ends or ctx
+// is canceled. Logs go to stderr, result tables to stdout.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	o := &options{stdout: stdout}
+	fs := flag.NewFlagSet("pfmd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&o.addr, "addr", ":9600", "metrics/health listen address")
+	fs.Int64Var(&o.seed, "seed", 11, "simulation seed")
+	fs.Float64Var(&o.days, "days", 1, "replay horizon [simulated days]")
+	fs.Float64Var(&o.compress, "compress", 3600, "time compression [simulated seconds per wall second]")
+	fs.IntVar(&o.queueCap, "queue", 4096, "ingest queue capacity")
+	fs.StringVar(&o.overflow, "overflow", "block", "overflow policy: block|drop-oldest|drop-newest")
+	fs.IntVar(&o.workers, "workers", 4, "layer-evaluation worker pool size")
+	fs.DurationVar(&o.evalEvery, "eval", 250*time.Millisecond, "wall-clock MEA cadence")
+	fs.IntVar(&o.shards, "shards", 1, "parallel ingest shards (per-variable routing)")
+	fs.BoolVar(&o.pprof, "pprof", false, "expose /debug/pprof/ on the metrics address")
+	fs.StringVar(&o.logFormat, "log-format", "text", "log output format: text|json")
+	fs.StringVar(&o.logLevel, "log-level", "info", "log level: info|debug (debug logs every MEA cycle)")
+	fs.IntVar(&o.traceCap, "trace-cap", 256, "end-to-end trace ring capacity (0 disables tracing)")
+	fs.IntVar(&o.traceDump, "trace-dump", 0, "print the N slowest end-to-end traces at exit")
+	fs.IntVar(&o.traceSample, "trace-sample", obs.DefaultSampleInterval, "trace 1 in N ingested events (1 = every event)")
+	fs.Float64Var(&o.ledgerWindow, "ledger-window", 0, "rolling quality window [sim s]; 0 = cumulative")
+	fs.Float64Var(&o.ledgerSlack, "ledger-slack", 300, "prediction-period slack Δtp for TP matching [sim s]")
+	fs.StringVar(&o.metaWeights, "meta-weights", "", "comma-separated logistic combiner weight per layer (errors,memory,load,swap); empty = threshold voting")
+	fs.BoolVar(&o.hotswap, "hotswap", false, "enable the predictor lifecycle: drift-triggered recalibration with shadow validation and zero-downtime hot-swap")
+	fs.IntVar(&o.driftWarmup, "drift-warmup", 240, "score-drift detector self-calibration window [cycles]")
+	fs.Float64Var(&o.driftThreshold, "drift-threshold", 8, "score-drift CUSUM threshold [σ]")
+	fs.IntVar(&o.driftShadowMin, "drift-shadow-min", 20, "resolved shadow predictions before a promotion decision")
+	fs.IntVar(&o.driftCooldown, "drift-cooldown", 200, "cycles a layer is muted after a lifecycle episode")
+	fs.BoolVar(&o.fleet, "fleet", false, "run the multi-tenant fleet runtime instead of the single-instance pipeline")
+	fs.IntVar(&o.tenants, "tenants", 100, "fleet size (with -fleet)")
+	fs.Float64Var(&o.skew, "skew", 1, "Zipf exponent of the tenant load profile (with -fleet)")
+	fs.IntVar(&o.fleetScopes, "fleet-scopes", 64, "dedicated per-tenant quality-ledger scopes before folding (with -fleet)")
+	fs.StringVar(&o.fleetTrace, "fleet-trace", "", "replay a recorded trace file instead of simulating (.trace text or .wire binary, see loggen -tenants)")
+	fs.StringVar(&o.listen, "listen", "", "accept tenant traces over TCP on this address instead of simulating (with -fleet; PFW1 wire or text line protocol, see loggen -send)")
+	fs.IntVar(&o.actBudget, "act-budget", 0, "max tenants that may execute a countermeasure per cycle, criticality-prioritized (with -fleet; 0 = unlimited)")
+	fs.Float64Var(&o.rateLimit, "rate-limit", 0, "per-tenant ingest drain cap [events per simulated second] (with -fleet; 0 = unlimited)")
+	fs.IntVar(&o.batch, "batch", 0, "ingest drain chunk size per shard (0 = runtime default)")
+	fs.StringVar(&o.replayColumnar, "replay-columnar", "", "replay a PFC1 columnar trace (see loggen -columnar) at full speed instead of simulating")
+	fs.Float64Var(&o.replayEval, "replay-eval", 900, "MEA cadence in simulated seconds (with -replay-columnar)")
+	fs.StringVar(&o.incidents.dir, "incident-dir", "", "persist captured incident bundles as JSON files in this directory")
+	fs.IntVar(&o.incidents.cap, "incident-cap", 32, "retained incident bundles (0 disables the flight recorder)")
+	fs.Float64Var(&o.incidents.warn, "incident-warn", 0.5, "combined-confidence gate for warn-triggered incident capture")
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
-}
-
-// layers builds the per-level predictors of the Fig. 11 blueprint over
-// the mirror state. Each layer is a calibrated predictor — score =
-// raw/scale with the warning threshold at 1.0 — whose initial scale is the
-// blueprint's hand-tuned warning level, so the static behaviour is
-// unchanged while the lifecycle (with -hotswap) can refit a scale whose
-// signal regime drifted.
-func (m *mirror) layers(memFloor float64) []*core.Layer {
-	rawErrors := func(now float64) (float64, error) {
-		// Application level: detected-error rate over the data window —
-		// counted off the time column, nothing materialized.
-		lo, hi := m.log.ScanWindow(now-600, now+1e-9)
-		return float64(hi-lo) / 600, nil
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
 	}
-	rawMemory := func(now float64) (float64, error) {
-		// OS/resource level: free-memory depletion trend.
-		w := m.sar["mem_free"].Window(now-1200, now+1e-9)
-		if w.Len() < 3 {
-			return 0, nil
-		}
-		slope, _, err := w.LinearTrend()
-		if err != nil {
-			return 0, nil
-		}
-		score := -slope
-		if v, ok := w.Last(); ok && v.V < memFloor {
-			score += 1
-		}
-		return score, nil
+	mode := modeLive
+	switch {
+	case o.fleet && o.replayColumnar != "":
+		return fmt.Errorf("-fleet and -replay-columnar select different modes; pass one")
+	case o.fleet:
+		mode = modeFleet
+	case o.replayColumnar != "":
+		mode = modeColumnar
 	}
-	rawLoad := func(now float64) (float64, error) {
-		// Platform level: utilization headroom.
-		v, ok := m.sar["cpu"].Last()
-		if !ok {
-			return 0, nil
+	var unused error
+	fs.Visit(func(f *flag.Flag) {
+		if modes, ok := modeFlags[f.Name]; ok && unused == nil && !slices.Contains(modes, mode) {
+			unused = fmt.Errorf("-%s is not used in %s mode", f.Name, mode)
 		}
-		return v.V, nil
+	})
+	if unused != nil {
+		return unused
 	}
-	rawSwap := func(now float64) (float64, error) {
-		// Platform level: swap pressure (already degrading).
-		v, ok := m.sar["swap"].Last()
-		if !ok {
-			return 0, nil
-		}
-		return v.V, nil
+	if o.days <= 0 || o.compress <= 0 {
+		return fmt.Errorf("days and compress must be positive")
 	}
-	return []*core.Layer{
-		{Name: "errors", Predictor: newCalibrated(rawErrors, 0.05), Threshold: 1},
-		{Name: "memory", Predictor: newCalibrated(rawMemory, 0.1), Threshold: 1},
-		{Name: "load", Predictor: newCalibrated(rawLoad, 0.85), Threshold: 1},
-		{Name: "swap", Predictor: newCalibrated(rawSwap, 0.5), Threshold: 1},
+	var err error
+	if o.policy, err = runtime.ParsePolicy(o.overflow); err != nil {
+		return err
 	}
+	if o.logger, err = newLogger(stderr, o.logFormat, o.logLevel); err != nil {
+		return err
+	}
+	if o.traceDump > o.traceCap {
+		o.traceCap = o.traceDump
+	}
+	switch mode {
+	case modeColumnar:
+		return runColumnar(ctx, o)
+	case modeFleet:
+		return runFleet(ctx, o)
+	}
+	return runLive(ctx, o)
 }
 
 // newLogger builds the service logger from the -log-format/-log-level
-// flags. Logs go to stderr; result tables stay on stdout.
-func newLogger(format, level string) (*slog.Logger, error) {
+// flags, writing to w.
+func newLogger(w io.Writer, format, level string) (*slog.Logger, error) {
 	var lv slog.Level
 	switch level {
 	case "info":
@@ -189,137 +265,27 @@ func newLogger(format, level string) (*slog.Logger, error) {
 	opts := &slog.HandlerOptions{Level: lv}
 	switch format {
 	case "text":
-		return slog.New(slog.NewTextHandler(os.Stderr, opts)), nil
+		return slog.New(slog.NewTextHandler(w, opts)), nil
 	case "json":
-		return slog.New(slog.NewJSONHandler(os.Stderr, opts)), nil
+		return slog.New(slog.NewJSONHandler(w, opts)), nil
 	default:
 		return nil, fmt.Errorf("unknown log format %q (want text|json)", format)
 	}
 }
 
-// parseMetaWeights builds the -meta-weights stacker: one logistic weight
-// per layer (in layer order), bias fixed at −Σ wᵢθᵢ so a system sitting
-// exactly at every layer threshold scores 0.5. The stacker itself is
-// returned (not just its Score closure) so the lifecycle can down-weight a
-// freshly swapped layer during probation.
-func parseMetaWeights(spec string, layers []*core.Layer) (*meta.Stacker, error) {
-	parts := strings.Split(spec, ",")
-	if len(parts) != len(layers) {
-		return nil, fmt.Errorf("-meta-weights needs %d comma-separated weights, got %d", len(layers), len(parts))
-	}
-	names := make([]string, len(layers))
-	weights := make([]float64, len(layers))
-	bias := 0.0
-	for i, p := range parts {
-		w, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
-			return nil, fmt.Errorf("-meta-weights[%d]: %w", i, err)
-		}
-		names[i] = layers[i].Name
-		weights[i] = w
-		bias -= w * layers[i].Threshold
-	}
-	return meta.NewStacker(names, weights, bias)
-}
-
-// kindName labels event kinds in the -trace-dump rendering.
-func kindName(k uint8) string {
-	switch runtime.EventKind(k) {
-	case runtime.KindError:
-		return "error"
-	case runtime.KindSample:
-		return "sample"
-	default:
-		return strconv.Itoa(int(k))
-	}
-}
-
-func run() error {
-	addr := flag.String("addr", ":9600", "metrics/health listen address")
-	seed := flag.Int64("seed", 11, "simulation seed")
-	days := flag.Float64("days", 1, "replay horizon [simulated days]")
-	compress := flag.Float64("compress", 3600, "time compression [simulated seconds per wall second]")
-	queueCap := flag.Int("queue", 4096, "ingest queue capacity")
-	overflow := flag.String("overflow", "block", "overflow policy: block|drop-oldest|drop-newest")
-	workers := flag.Int("workers", 4, "layer-evaluation worker pool size")
-	evalEvery := flag.Duration("eval", 250*time.Millisecond, "wall-clock MEA cadence")
-	shards := flag.Int("shards", 1, "parallel ingest shards (per-variable routing)")
-	pprofOn := flag.Bool("pprof", false, "expose /debug/pprof/ on the metrics address")
-	logFormat := flag.String("log-format", "text", "log output format: text|json")
-	logLevel := flag.String("log-level", "info", "log level: info|debug (debug logs every MEA cycle)")
-	traceCap := flag.Int("trace-cap", 256, "end-to-end trace ring capacity (0 disables tracing)")
-	traceDump := flag.Int("trace-dump", 0, "print the N slowest end-to-end traces at exit")
-	traceSample := flag.Int("trace-sample", obs.DefaultSampleInterval, "trace 1 in N ingested events (1 = every event)")
-	ledgerWindow := flag.Float64("ledger-window", 0, "rolling quality window [sim s]; 0 = cumulative")
-	ledgerSlack := flag.Float64("ledger-slack", 300, "prediction-period slack Δtp for TP matching [sim s]")
-	metaWeights := flag.String("meta-weights", "", "comma-separated logistic combiner weight per layer (errors,memory,load,swap); empty = threshold voting")
-	hotswap := flag.Bool("hotswap", false, "enable the predictor lifecycle: drift-triggered recalibration with shadow validation and zero-downtime hot-swap")
-	driftWarmup := flag.Int("drift-warmup", 240, "score-drift detector self-calibration window [cycles]")
-	driftThreshold := flag.Float64("drift-threshold", 8, "score-drift CUSUM threshold [σ]")
-	driftShadowMin := flag.Int("drift-shadow-min", 20, "resolved shadow predictions before a promotion decision")
-	driftCooldown := flag.Int("drift-cooldown", 200, "cycles a layer is muted after a lifecycle episode")
-	fleetMode := flag.Bool("fleet", false, "run the multi-tenant fleet runtime instead of the single-instance pipeline")
-	tenants := flag.Int("tenants", 100, "fleet size (with -fleet)")
-	skew := flag.Float64("skew", 1, "Zipf exponent of the tenant load profile (with -fleet)")
-	fleetScopes := flag.Int("fleet-scopes", 64, "dedicated per-tenant quality-ledger scopes before folding (with -fleet)")
-	fleetTrace := flag.String("fleet-trace", "", "replay a recorded trace file instead of simulating (.trace text or .wire binary, see loggen -tenants)")
-	fleetListen := flag.String("listen", "", "accept tenant traces over TCP on this address instead of simulating (with -fleet; PFW1 wire or text line protocol, see loggen -send)")
-	actBudget := flag.Int("act-budget", 0, "max tenants that may execute a countermeasure per cycle, criticality-prioritized (with -fleet; 0 = unlimited)")
-	rateLimit := flag.Float64("rate-limit", 0, "per-tenant ingest drain cap [events per simulated second] (with -fleet; 0 = unlimited)")
-	batch := flag.Int("batch", 0, "ingest drain chunk size per shard (0 = runtime default)")
-	replayColumnar := flag.String("replay-columnar", "", "replay a PFC1 columnar trace (see loggen -columnar) at full speed instead of simulating")
-	replayEval := flag.Float64("replay-eval", 900, "MEA cadence in simulated seconds (with -replay-columnar)")
-	incidentDir := flag.String("incident-dir", "", "persist captured incident bundles as JSON files in this directory")
-	incidentCap := flag.Int("incident-cap", 32, "retained incident bundles (0 disables the flight recorder)")
-	incidentWarn := flag.Float64("incident-warn", 0.5, "combined-confidence gate for warn-triggered incident capture")
-	flag.Parse()
-	if *days <= 0 || *compress <= 0 {
-		return fmt.Errorf("days and compress must be positive")
-	}
-	policy, err := runtime.ParsePolicy(*overflow)
-	if err != nil {
-		return err
-	}
-	logger, err := newLogger(*logFormat, *logLevel)
-	if err != nil {
-		return err
-	}
-	if *traceDump > *traceCap {
-		*traceCap = *traceDump
-	}
-	if *replayColumnar != "" {
-		return runColumnar(columnarOptions{
-			addr: *addr, path: *replayColumnar, cadence: *replayEval,
-			batch: *batch, queueCap: *queueCap, policy: policy,
-			workers: *workers, shards: *shards, pprofOn: *pprofOn,
-			traceCap: *traceCap, traceSample: *traceSample, traceDump: *traceDump,
-			ledgerWin: *ledgerWindow, ledgerSlack: *ledgerSlack,
-			metaWeights: *metaWeights, logger: logger,
-			incidents: incidentOptions{dir: *incidentDir, cap: *incidentCap, warn: *incidentWarn},
-		})
-	}
-	if *fleetMode {
-		return runFleet(fleetOptions{
-			addr: *addr, tenants: *tenants, skew: *skew, seed: *seed,
-			days: *days, compress: *compress, queueCap: *queueCap,
-			policy: policy, workers: *workers, shards: *shards,
-			evalEvery: *evalEvery, scopes: *fleetScopes,
-			traceCap: *traceCap, traceSample: *traceSample,
-			ledgerWindow: *ledgerWindow, ledgerSlack: *ledgerSlack,
-			traceFile: *fleetTrace, listen: *fleetListen,
-			actBudget: *actBudget, rateLimit: *rateLimit, logger: logger,
-		})
-	}
-
+// runLive is the live mode: the SCP simulator replays in wall-paced slices
+// into the pipeline, whose ticker drives the cycles and whose
+// countermeasure steers the simulator.
+func runLive(ctx context.Context, o *options) error {
 	scpCfg := scp.DefaultConfig()
-	scpCfg.Seed = *seed
+	scpCfg.Seed = o.seed
 	sys, err := scp.New(scpCfg)
 	if err != nil {
 		return err
 	}
 
 	// Act commands cross back to the simulation thread through a mailbox:
-	// the act stage enqueues, the replay loop applies between slices, so
+	// the act step enqueues, the replay loop applies between slices, so
 	// the non-thread-safe simulator is only ever touched from one
 	// goroutine.
 	cmds := make(chan func(), 64)
@@ -346,351 +312,29 @@ func run() error {
 		}
 		return nil
 	}
-	action, err := act.New("mitigate+prepare", act.PreparedRepair,
-		act.Params{Cost: 0.5, SuccessProb: 0.85, Complexity: 0.3}, mitigate)
+	p, err := startPipeline(ctx, o, mitigate, o.compress*o.evalEvery.Seconds(), o.evalEvery, 0)
 	if err != nil {
 		return err
 	}
-	selector, err := act.NewSelector(act.DefaultWeights())
-	if err != nil {
+	defer p.srv.Close()
+	o.logger.Info("replay starting",
+		"sim_days", o.days, "compress", o.compress, "policy", o.policy.String(),
+		"workers", o.workers, "shards", p.rt.Shards())
+	if err := replay(ctx, sys, p, cmds, o.days*86400, o.compress); err != nil && ctx.Err() == nil {
 		return err
 	}
-
-	m := newMirror()
-	layers := m.layers(2 * scpCfg.SwapThreshold)
-	var combiner core.Combiner
-	var stacker *meta.Stacker
-	if *metaWeights != "" {
-		if stacker, err = parseMetaWeights(*metaWeights, layers); err != nil {
-			return err
-		}
-		combiner = stacker.Score
-		logger.Info("meta combiner", "weights", *metaWeights)
-	}
-	const leadTime = 300.0
-	// Externally clocked engine: the runtime drives it on replay time.
-	engine, err := core.New(nil, layers, combiner, selector,
-		[]*act.Action{action}, nil, core.Config{
-			EvalInterval:        *compress * evalEvery.Seconds(), // cadence in sim time
-			LeadTime:            leadTime,
-			WarnThreshold:       0.2, // any single layer suffices (4 layers)
-			OscillationWindow:   1800,
-			MaxActionsPerWindow: 6,
-		})
-	if err != nil {
-		return err
-	}
-
-	// Online prediction-quality ledger: journaled by the runtime's act
-	// stage, ground truth fed from the simulator's failure record, matched
-	// with the engine's lead time Δtl and the -ledger-slack Δtp.
-	layerNames := make([]string, len(layers))
-	for i, l := range layers {
-		layerNames[i] = l.Name
-	}
-	ledger, err := obs.NewLedger(obs.LedgerConfig{
-		LeadTime: leadTime, Slack: *ledgerSlack, Window: *ledgerWindow,
-	}, layerNames...)
-	if err != nil {
-		return err
-	}
-	var tracer *obs.Tracer
-	if *traceCap > 0 {
-		tracer = obs.NewTracer(*traceCap)
-		tracer.SetSampleInterval(*traceSample)
-	}
-
-	// Predictor lifecycle (-hotswap): drift-triggered recalibration with
-	// shadow validation against the live ledger and zero-downtime swaps.
-	var lcm *lifecycle.Manager
-	if *hotswap {
-		lcm, err = lifecycle.NewManager(layers, ledger, lifecycle.Config{
-			ScoreWarmup:         *driftWarmup,
-			ScoreThresholdSigma: *driftThreshold,
-			ShadowMinResolved:   *driftShadowMin,
-			CooldownCycles:      *driftCooldown,
-		})
-		if err != nil {
-			return err
-		}
-		logger.Info("predictor lifecycle enabled",
-			"drift_warmup", *driftWarmup, "drift_threshold_sigma", *driftThreshold,
-			"shadow_min_resolved", *driftShadowMin, "cooldown_cycles", *driftCooldown)
-	}
-
-	// Flight recorder: always-on bounded capture keyed to the act stage's
-	// warn/act decisions, lifecycle events, and ledger burn rate.
-	recorder, dp, err := buildRecorder(
-		incidentOptions{dir: *incidentDir, cap: *incidentCap, warn: *incidentWarn},
-		m, layerNames, tracer, ledger, lcm, logger)
-	if err != nil {
-		return err
-	}
-
-	// The replay clock: sim-time high-water mark, advanced by the feeder.
-	var simNow atomic.Uint64
-	rt, err := runtime.New(runtime.Config{
-		Engine:        engine,
-		Apply:         m.apply,
-		Clock:         func() float64 { return math.Float64frombits(simNow.Load()) },
-		QueueCapacity: *queueCap,
-		Overflow:      policy,
-		EvalInterval:  *evalEvery,
-		Workers:       *workers,
-		Shards:        *shards,
-		BatchSize:     *batch,
-		Profiling:     *pprofOn,
-		Tracer:        tracer,
-		Ledger:        ledger,
-		Lifecycle:     lcm,
-		Recorder:      recorder,
+	return p.finish(func() {
+		o.logger.Info("system summary",
+			"availability", sys.MeasuredAvailability(),
+			"failures", len(sys.Failures()), "restarts", len(sys.Restarts()))
 	})
-	if err != nil {
-		return err
-	}
-	if lcm != nil {
-		watchLifecycle(lcm, stacker, layers, tracer, logger)
-	}
-
-	// Structured decision log: every MEA cycle at debug, warnings at info,
-	// linked to the newest completed /tracez span.
-	engine.SetCycleObserver(func(now float64, scores []float64, d core.Decision) {
-		attrs := []any{
-			slog.Float64("sim_now", now),
-			slog.Float64("confidence", d.Confidence),
-			slog.Bool("warned", d.Warned),
-			slog.String("action", d.ActionName),
-			slog.Bool("executed", d.Executed),
-			slog.Bool("suppressed", d.Suppressed),
-		}
-		if tracer != nil {
-			attrs = append(attrs, slog.Uint64("trace_id", tracer.NewestCompleteID()))
-		}
-		for i, s := range scores {
-			if i < len(layerNames) && !math.IsNaN(s) {
-				attrs = append(attrs, slog.Float64("score_"+layerNames[i], s))
-			}
-		}
-		if d.Warned {
-			logger.Info("failure warning", attrs...)
-		} else {
-			logger.Debug("cycle", attrs...)
-		}
-	})
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if err := rt.Start(ctx); err != nil {
-		return err
-	}
-	srv, bound, err := rt.Serve(*addr)
-	if err != nil {
-		return err
-	}
-	defer srv.Close()
-	logger.Info("serving observability endpoints",
-		"addr", bound, "tracez", tracer != nil, "ledger", true, "pprof", *pprofOn)
-	logger.Info("replay starting",
-		"sim_days", *days, "compress", *compress, "policy", policy.String(),
-		"workers", *workers, "shards", rt.Shards())
-
-	// Ground-truth failures feed both the quality ledger and the incident
-	// diagnoser's training set.
-	recordFailure := func(t float64) {
-		ledger.RecordFailure(t)
-		if dp != nil {
-			dp.RecordFailure(t)
-		}
-	}
-	if err := replay(ctx, sys, rt, recordFailure, cmds, *days*86400, *compress, &simNow); err != nil &&
-		ctx.Err() == nil {
-		return err
-	}
-
-	// Graceful drain, bounded so Ctrl-C always wins within a few seconds.
-	stopCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := rt.Stop(stopCtx); err != nil {
-		logger.Warn("drain incomplete", "err", err)
-	}
-
-	mm := rt.Metrics()
-	logger.Info("pipeline summary",
-		"ingested", mm.Ingested.Value(), "applied", mm.Applied.Value(),
-		"dropped", mm.Dropped(), "evaluations", mm.Evaluations.Value(),
-		"warnings", mm.Warnings.Value(), "actions", mm.Actions.Value(),
-		"suppressed", mm.Suppressed.Value())
-	logger.Info("system summary",
-		"availability", sys.MeasuredAvailability(),
-		"failures", len(sys.Failures()), "restarts", len(sys.Restarts()))
-	logActionStats(logger, action)
-	if lcm != nil {
-		logLifecycle(logger, lcm)
-	}
-	logQuality(logger, ledger)
-	logModelAssessment(logger, ledger)
-	logIncidents(logger, recorder)
-	fmt.Print(engine.Report())
-	if *traceDump > 0 && tracer != nil {
-		fmt.Printf("\nslowest %d end-to-end traces:\n\n", *traceDump)
-		if err := obs.WriteText(os.Stdout, tracer.Slowest(*traceDump), kindName); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// watchLifecycle subscribes the service to predictor-lifecycle events: every
-// transition is logged (swap decisions at info, linked to the newest /tracez
-// span), and when a meta stacker combines the layers, a freshly swapped
-// layer is down-weighted during probation and restored on confirm/rollback.
-func watchLifecycle(
-	lcm *lifecycle.Manager,
-	stacker *meta.Stacker,
-	layers []*core.Layer,
-	tracer *obs.Tracer,
-	logger *slog.Logger,
-) {
-	lcm.Subscribe(func(e lifecycle.Event) {
-		attrs := []any{
-			slog.String("layer", e.Layer),
-			slog.String("event", string(e.Type)),
-			slog.Uint64("version", e.Version),
-			slog.Float64("sim_now", e.Time),
-		}
-		switch e.Type {
-		case lifecycle.EventSwapped, lifecycle.EventShadowDiscarded,
-			lifecycle.EventConfirmed, lifecycle.EventRolledBack:
-			attrs = append(attrs,
-				slog.Float64("candidate_f", e.CandidateF),
-				slog.Float64("incumbent_f", e.IncumbentF))
-		}
-		if e.Duration > 0 {
-			attrs = append(attrs, slog.Float64("retrain_seconds", e.Duration))
-		}
-		if e.Err != "" {
-			attrs = append(attrs, slog.String("err", e.Err))
-		}
-		if tracer != nil {
-			attrs = append(attrs, slog.Uint64("trace_id", tracer.NewestCompleteID()))
-		}
-		switch e.Type {
-		case lifecycle.EventSwapped, lifecycle.EventConfirmed, lifecycle.EventRolledBack:
-			logger.Info("predictor swap decision", attrs...)
-		default:
-			logger.Info("predictor lifecycle", attrs...)
-		}
-	})
-	if stacker == nil {
-		return
-	}
-	// Probation discount: trust a just-swapped predictor at half its
-	// configured weight until the swap is confirmed (or rolled back).
-	const probationDiscount = 0.5
-	initial := make(map[string]float64, len(layers))
-	for _, l := range layers {
-		if w, err := stacker.Weight(l.Name); err == nil {
-			initial[l.Name] = w
-		}
-	}
-	lcm.Subscribe(func(e lifecycle.Event) {
-		w0, ok := initial[e.Layer]
-		if !ok {
-			return
-		}
-		switch e.Type {
-		case lifecycle.EventSwapped:
-			if prev, err := stacker.Reweight(e.Layer, w0*probationDiscount); err == nil {
-				logger.Info("stacker reweighted for probation",
-					"layer", e.Layer, "weight", w0*probationDiscount, "previous", prev)
-			}
-		case lifecycle.EventConfirmed, lifecycle.EventRolledBack:
-			if _, err := stacker.Reweight(e.Layer, w0); err == nil {
-				logger.Info("stacker weight restored", "layer", e.Layer, "weight", w0)
-			}
-		}
-	})
-}
-
-// logLifecycle reports the per-layer predictor-lifecycle outcome.
-func logLifecycle(logger *slog.Logger, lcm *lifecycle.Manager) {
-	for _, st := range lcm.States() {
-		logger.Info("predictor lifecycle summary",
-			"layer", st.Layer, "state", st.State, "version", st.Version,
-			"drifts", st.Drifts, "retrains", st.Retrains,
-			"retrain_errors", st.RetrainErrors, "swaps", st.Swaps,
-			"rollbacks", st.Rollbacks, "confirms", st.Confirms,
-			"eval_errors", st.EvalErrors)
-	}
-}
-
-// logActionStats reports the countermeasure's execution record.
-func logActionStats(logger *slog.Logger, a *act.Action) {
-	s := a.Stats()
-	logger.Info("action stats", "action", a.Name(),
-		"executions", s.Executions, "failures", s.Failures,
-		"mean_duration", s.MeanDuration(), "last_duration", s.LastDuration)
-}
-
-// logQuality reports the ledger's per-layer online quality tables.
-func logQuality(logger *slog.Logger, led *obs.Ledger) {
-	for _, layer := range led.Layers() {
-		c := led.Cumulative(layer)
-		attrs := []any{
-			slog.String("layer", layer),
-			slog.Int("tp", c.TP), slog.Int("fp", c.FP),
-			slog.Int("tn", c.TN), slog.Int("fn", c.FN),
-		}
-		for _, m := range []struct {
-			name string
-			v    float64
-		}{
-			{"precision", c.Precision()}, {"recall", c.Recall()},
-			{"fpr", c.FPR()}, {"f1", c.FMeasure()},
-		} {
-			if !math.IsNaN(m.v) {
-				attrs = append(attrs, slog.Float64(m.name, m.v))
-			}
-		}
-		logger.Info("prediction quality", attrs...)
-	}
-}
-
-// logModelAssessment compares the Sect. 5 CTMC under the measured combined
-// quality against the paper's Table 2 reference parameterization.
-func logModelAssessment(logger *slog.Logger, led *obs.Ledger) {
-	a, err := obs.AssessModel(led.Cumulative(obs.CombinedLayer), pfmmodel.DefaultParams())
-	if err != nil {
-		logger.Debug("model assessment unavailable", "reason", err.Error())
-		return
-	}
-	logger.Info("model assessment",
-		"measured_precision", a.Measured.Precision,
-		"measured_recall", a.Measured.Recall,
-		"measured_fpr", a.Measured.FPR,
-		"measured_availability", a.Measured.Availability,
-		"reference_availability", a.Reference.Availability,
-		"availability_delta", a.AvailabilityDelta,
-		"unavailability_ratio", a.Measured.UnavailabilityRatio,
-		"reference_unavailability_ratio", a.Reference.UnavailabilityRatio,
-		"unavailability_ratio_delta", a.UnavailabilityRatioDelta,
-		"mttf_relative", a.MTTFRelative,
-		"hazard_at_mttf", a.Measured.HazardAtMTTF)
 }
 
 // replay advances the simulator in wall-paced slices, applying queued act
 // commands on the simulation thread, streaming new error events and SAR
-// samples into the runtime, and journaling ground-truth failures into the
-// prediction ledger.
-func replay(
-	ctx context.Context,
-	sys *scp.System,
-	rt *runtime.Runtime,
-	recordFailure func(t float64),
-	cmds chan func(),
-	horizon, compress float64,
-	simNow *atomic.Uint64,
-) error {
+// samples into the pipeline, and journaling ground-truth failures into its
+// ledger.
+func replay(ctx context.Context, sys *scp.System, p *pipeline, cmds chan func(), horizon, compress float64) error {
 	const wallSlice = 100 * time.Millisecond
 	simSlice := compress * wallSlice.Seconds()
 	seenLog := 0
@@ -713,15 +357,15 @@ func replay(
 		if err := sys.Run(step); err != nil {
 			return err
 		}
-		simNow.Store(math.Float64bits(sys.Now()))
+		p.clock.Set(sys.Now())
 		// Ground truth for the ledger: failures the slice produced.
 		for times := sys.FailureTimes(); seenFail < len(times); seenFail++ {
-			recordFailure(times[seenFail])
+			p.recordFailure(times[seenFail])
 		}
 		// Stream everything the slice produced.
 		for n := sys.Log().Len(); seenLog < n; seenLog++ {
 			e := sys.Log().At(seenLog)
-			if err := rt.Ingest(ctx, runtime.Event{Kind: runtime.KindError, Time: e.Time, Error: e}); err != nil {
+			if err := p.rt.Ingest(ctx, runtime.Event{Kind: runtime.KindError, Time: e.Time, Error: e}); err != nil {
 				return err
 			}
 		}
@@ -731,9 +375,9 @@ func replay(
 				return err
 			}
 			for n := series.Len(); seenSAR[name] < n; seenSAR[name]++ {
-				p := series.At(seenSAR[name])
-				if err := rt.Ingest(ctx, runtime.Event{
-					Kind: runtime.KindSample, Time: p.T, Variable: name, Value: p.V,
+				pt := series.At(seenSAR[name])
+				if err := p.rt.Ingest(ctx, runtime.Event{
+					Kind: runtime.KindSample, Time: pt.T, Variable: name, Value: pt.V,
 				}); err != nil {
 					return err
 				}
