@@ -5,33 +5,41 @@
 // exactly this shape — a control loop that keeps up with monitoring
 // ingest).
 //
-// The pipeline has three stages, each context-driven with clean shutdown
-// and drain:
+// The pipeline has two kinds of goroutine, each context-driven with
+// clean shutdown and drain:
 //
-//		producers ──Ingest──▶ [bounded queue] ──▶ apply to predictor state
-//		                                             │ (serialized writes)
-//		     ticker / EvaluateNow ──▶ evaluate stage ─┤ (parallel Layer.Evaluate
-//		                                             │  in a worker pool)
-//		                              act stage ◀────┘ (serialized core.ActOn)
+//	producers ──Ingest──▶ [bounded shard queues] ──▶ shard consumers:
+//	                                                   Apply to predictor state
+//	                                                   (shared state lock)
+//	ticker / EvaluateNow / Stop ──▶ evaluate loop ──▶ CycleBatch(now):
+//	replay driver ─────────────────────────────────▶   evaluate layers in a
+//	                                                   worker pool (exclusive
+//	                                                   state lock), then act
+//	                                                   (serialized core.ActOn)
 //
-//	  - Ingest accepts error events and monitoring samples through a bounded
-//	    queue with an explicit overflow policy — Block (backpressure),
-//	    DropOldest (keep the freshest evidence), or DropNewest (protect the
-//	    backlog) — with per-policy drop counters. A single consumer applies
-//	    events to the user's predictor-visible state under the runtime's
-//	    state lock.
-//	  - Evaluate fires on a wall-clock ticker (and on demand via
-//	    EvaluateNow); per-layer predictors score in parallel in a worker
-//	    pool, under the state read-lock, so layers see a consistent snapshot
-//	    while ingest keeps queueing behind them.
-//	  - Act consumes score vectors serially and calls core.Engine.ActOn,
+//	  - Ingest accepts error events and monitoring samples through bounded
+//	    shard queues with an explicit overflow policy — Block
+//	    (backpressure), DropOldest (keep the freshest evidence), or
+//	    DropNewest (protect the backlog) — with per-policy drop counters.
+//	    One consumer per shard applies events to the user's
+//	    predictor-visible state under the shared side of the state lock.
+//	  - A cycle is one synchronous CycleBatch. The evaluate loop runs one
+//	    per ticker tick, per EvaluateNow request and once after Stop's
+//	    drain, each over the single time the domain clock reads at its
+//	    start; a replay driver may instead call CycleBatch with a stack of
+//	    due times. Layers score in parallel in a worker pool under the
+//	    exclusive side of the state lock, so they see a consistent
+//	    snapshot while ingest keeps queueing behind them.
+//	  - The act step then runs core.Engine.ActOn for each time in order,
 //	    preserving the single cross-layer decision and oscillation-guard
 //	    semantics of the batch engine.
 //
 // Observability is built in: every stage feeds an atomic-counter Metrics
 // registry (events ingested/applied/dropped, evaluations, warnings,
 // actions, per-stage latency histograms, queue depth) rendered in
-// Prometheus text format, served with /healthz over stdlib net/http.
+// Prometheus text format and served, with the health, trace, ledger and
+// incident endpoints, over stdlib net/http. HandleShared, ServeIncidents
+// and StartServer are the parts of that plane the fleet reuses.
 //
 // Invariant (checked by the stress tests): after Stop returns, every
 // event presented to Ingest was either applied or counted dropped —
