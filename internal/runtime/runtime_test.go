@@ -316,6 +316,57 @@ func TestEvaluateNowEventDriven(t *testing.T) {
 	}
 }
 
+// TestConcurrentCycles runs ticked, requested and CycleBatch cycles from
+// several goroutines at once under ingest: they share the cycle's score
+// buffers, so under -race this pins that cycles serialize, and every
+// cycle must be counted exactly once.
+func TestConcurrentCycles(t *testing.T) {
+	l2 := quietLayer()
+	l2.Name = "quiet2"
+	rt, err := New(Config{
+		Engine:       testEngine(t, defaultCoreCfg(), quietLayer(), l2),
+		Apply:        func(Event) error { return nil },
+		Clock:        func() float64 { return 0 },
+		EvalInterval: time.Millisecond,
+		Workers:      2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := rt.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	const goroutines, rounds = 4, 50
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				rt.EvaluateNow()
+				rt.CycleBatch([]float64{1, 2})
+				if err := rt.Ingest(ctx, Event{Kind: KindSample, Time: 1, Variable: "x"}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := rt.Stop(ctx); err != nil {
+		t.Fatal(err)
+	}
+	m := rt.Metrics()
+	if rt.Cycles() < goroutines*rounds*2+1 || rt.Cycles() != m.Evaluations.Value() {
+		t.Fatalf("cycles = %d, evaluations = %d, want equal and >= %d",
+			rt.Cycles(), m.Evaluations.Value(), goroutines*rounds*2+1)
+	}
+	if m.Applied.Value() != goroutines*rounds {
+		t.Fatalf("applied = %d, want %d", m.Applied.Value(), goroutines*rounds)
+	}
+}
+
 // TestStress pushes 100k events from concurrent producers through the
 // full pipeline with evaluation running, and checks the conservation
 // invariant: every event presented to Ingest is either applied or counted
